@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the performance-facing kernels behind
 //! every experiment: GEMM, SVD, quantization, co-occurrence counting, the
-//! embedding distance measures, and downstream training.
+//! embedding distance measures, snapshot nearest-word queries, and
+//! downstream training.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -14,6 +15,7 @@ use embedstab_downstream::models::{LogReg, TrainSpec};
 use embedstab_embeddings::{CorpusStats, Embedding};
 use embedstab_linalg::Mat;
 use embedstab_quant::{quantize, Precision};
+use embedstab_serve::SnapshotStore;
 use rand::SeedableRng;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -132,6 +134,34 @@ fn bench_measures(c: &mut Criterion) {
     c.bench_function("measure_overlap_1000x32", |bench| {
         bench.iter(|| black_box(EigenspaceOverlap.distance(&x, &y)));
     });
+    // The Small-scale k-NN shape at its widest dimension (vocab 1000,
+    // 500 queries, d = 128).
+    let x = Embedding::new(Mat::random_normal(1000, 128, &mut rng));
+    let mut noisy = x.mat().clone();
+    noisy.axpy(0.1, &Mat::random_normal(1000, 128, &mut rng));
+    let y = Embedding::new(noisy);
+    let knn = KnnMeasure::new(5, 500, 0);
+    c.bench_function("measure_knn_1000x128_q500", |bench| {
+        bench.iter(|| black_box(knn.distance(&x, &y)));
+    });
+}
+
+fn bench_serve(c: &mut Criterion) {
+    // One served nearest-word batch: an 8-bit 1000 x 32 snapshot, two
+    // query vectors, k = 5.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let emb = Embedding::new(Mat::random_normal(1000, 32, &mut rng));
+    let dir = embedstab_pipeline::cache::scratch_dir("bench_snapshot");
+    let mut store = SnapshotStore::open(&dir).expect("open a scratch snapshot store");
+    store
+        .publish(&emb, Precision::new(8), None)
+        .expect("publish the bench snapshot");
+    let snap = store.live().expect("a live snapshot");
+    let queries = snap.lookup_batch(&[17, 423]);
+    c.bench_function("snapshot_nearest_1000x32_b2_k5", |bench| {
+        bench.iter(|| black_box(snap.try_nearest_batch(black_box(&queries), 5)));
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_training(c: &mut Criterion) {
@@ -177,6 +207,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_gemm, bench_svd, bench_quantization, bench_cooccurrence,
-              bench_measures, bench_training
+              bench_measures, bench_serve, bench_training
 }
 criterion_main!(benches);

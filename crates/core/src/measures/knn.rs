@@ -2,7 +2,7 @@
 //! 2018; Wendlandt et al. 2018).
 
 use embedstab_embeddings::Embedding;
-use embedstab_linalg::vecops;
+use embedstab_linalg::CosineIndex;
 use rand::{Rng, RngExt, SeedableRng};
 
 use super::DistanceMeasure;
@@ -12,6 +12,12 @@ use super::DistanceMeasure;
 /// distance `1 - overlap`.
 ///
 /// The paper uses `k = 5` (tuned in Appendix D.3) and `Q = 1000`.
+///
+/// Neighbors come from [`CosineIndex::top_k`], whose scores equal
+/// [`vecops::cosine_similarity`](embedstab_linalg::vecops::cosine_similarity)
+/// bit for bit, ranked descending with NaN last and ties toward the lower
+/// word id. A zero vector scores `0` against everything; only non-finite
+/// components give NaN similarities, which rank below every real neighbor.
 #[derive(Clone, Debug)]
 pub struct KnnMeasure {
     k: usize,
@@ -50,15 +56,26 @@ impl KnnMeasure {
         let k = self.k.min(n - 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
         let queries = sample_distinct(self.queries.min(n), n, &mut rng);
+        let nx = neighbors(x, &queries, k);
+        let ny = neighbors(y, &queries, k);
         let mut total = 0.0;
-        for &q in &queries {
-            let nx = top_k_neighbors(x, q, k);
-            let ny = top_k_neighbors(y, q, k);
-            let inter = nx.iter().filter(|w| ny.contains(w)).count();
+        for (a, b) in nx.iter().zip(&ny) {
+            let inter = a
+                .iter()
+                .filter(|(w, _)| b.iter().any(|(v, _)| v == w))
+                .count();
             total += inter as f64 / k as f64;
         }
         total / queries.len() as f64
     }
+}
+
+/// The `k` nearest neighbors of each query word, the word itself excluded.
+fn neighbors(emb: &Embedding, queries: &[u32], k: usize) -> Vec<Vec<(u32, f64)>> {
+    let rows: Vec<usize> = queries.iter().map(|&q| q as usize).collect();
+    CosineIndex::new(emb.mat())
+        .top_k(&emb.mat().select_rows(&rows), k, Some(queries))
+        .expect("query rows come from the indexed matrix")
 }
 
 impl DistanceMeasure for KnnMeasure {
@@ -85,29 +102,25 @@ fn sample_distinct(count: usize, n: usize, rng: &mut impl Rng) -> Vec<u32> {
     ids
 }
 
-/// Indices of the `k` most cosine-similar words to `q` (excluding `q`).
-fn top_k_neighbors(emb: &Embedding, q: u32, k: usize) -> Vec<u32> {
-    let qv = emb.vector(q);
-    let mut sims: Vec<(f64, u32)> = (0..emb.vocab_size() as u32)
-        .filter(|&w| w != q)
-        .map(|w| (vecops::cosine_similarity(qv, emb.vector(w)), w))
-        .collect();
-    // Partial selection: k is tiny compared to the vocabulary.
-    // `partial_cmp(..).unwrap_or(Equal)` is not a total order under NaN
-    // similarities (zero vectors), which breaks the selection invariant.
-    // cmp_desc_nan_last keeps it deterministic AND keeps NaNs out of the
-    // neighbor set whenever k finite similarities exist.
-    sims.select_nth_unstable_by(k - 1, |a, b| {
-        crate::stats::cmp_desc_nan_last(a.0, b.0).then(a.1.cmp(&b.1))
-    });
-    sims.truncate(k);
-    sims.into_iter().map(|(_, w)| w).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embedstab_linalg::Mat;
+    use embedstab_linalg::{vecops, Mat};
+
+    /// The per-pair scan the kernel replaced, kept as the exactness oracle:
+    /// indices of the `k` most cosine-similar words to `q` (excluding `q`).
+    fn top_k_neighbors(emb: &Embedding, q: u32, k: usize) -> Vec<u32> {
+        let qv = emb.vector(q);
+        let mut sims: Vec<(f64, u32)> = (0..emb.vocab_size() as u32)
+            .filter(|&w| w != q)
+            .map(|w| (vecops::cosine_similarity(qv, emb.vector(w)), w))
+            .collect();
+        sims.select_nth_unstable_by(k - 1, |a, b| {
+            crate::stats::cmp_desc_nan_last(a.0, b.0).then(a.1.cmp(&b.1))
+        });
+        sims.truncate(k);
+        sims.into_iter().map(|(_, w)| w).collect()
+    }
 
     #[test]
     fn identical_embeddings_have_full_overlap() {
@@ -161,5 +174,52 @@ mod tests {
         let y = Embedding::new(Mat::random_normal(60, 4, &mut rng));
         let m = KnnMeasure::new(5, 20, 11);
         assert_eq!(m.overlap(&x, &y), m.overlap(&x, &y));
+    }
+
+    /// An `n x d` matrix: Gaussian, or sign-quantized to `{-1, 0, 1}` so
+    /// that scores tie en masse; with a zero row and a NaN row planted.
+    fn degenerate_mat(n: usize, d: usize, seed: u64, signs: bool) -> Mat {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut m = Mat::random_normal(n, d, &mut rng);
+        if signs {
+            for x in m.as_mut_slice() {
+                *x = if x.abs() < 0.3 { 0.0 } else { x.signum() };
+            }
+        }
+        let zero = rng.random_range(0..n);
+        let nan = rng.random_range(0..n);
+        m.row_mut(zero).fill(0.0);
+        m.row_mut(nan)[d - 1] = f64::NAN;
+        m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn kernel_neighbors_equal_the_per_pair_oracle(
+            (n, d, k) in proptest::prelude::Strategy::prop_flat_map(
+                (2usize..=300, 1usize..=40),
+                |(n, d)| (proptest::prelude::Just(n), proptest::prelude::Just(d), 1..n),
+            ),
+            seed in 0u64..1 << 32,
+            signs in 0u8..2,
+        ) {
+            let e = Embedding::new(degenerate_mat(n, d, seed, signs == 1));
+            let words: Vec<u32> = (0..n as u32).collect();
+            let got = neighbors(&e, &words, k);
+            for (&q, nbrs) in words.iter().zip(&got) {
+                let mut want = top_k_neighbors(&e, q, k);
+                want.sort_unstable();
+                let mut ids: Vec<u32> = nbrs.iter().map(|&(w, _)| w).collect();
+                ids.sort_unstable();
+                proptest::prop_assert_eq!(ids, want);
+                for &(w, s) in nbrs {
+                    let exact = vecops::cosine_similarity(e.vector(q), e.vector(w));
+                    proptest::prop_assert_eq!(s.to_bits(), exact.to_bits());
+                }
+            }
+        }
     }
 }

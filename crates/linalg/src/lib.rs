@@ -13,7 +13,9 @@
 //!   ([`Mat::svd_randomized`]),
 //! - Cholesky factorization and SPD solves ([`chol`]),
 //! - the orthogonal Procrustes problem ([`procrustes::orthogonal_procrustes`]),
-//!   used by the paper to align Wiki'17/Wiki'18 embeddings before compression.
+//!   used by the paper to align Wiki'17/Wiki'18 embeddings before compression,
+//! - exact cosine top-k nearest-row queries ([`CosineIndex`]), shared by the
+//!   k-NN measure and the serving layer.
 //!
 //! # Kernel architecture
 //!
@@ -29,6 +31,13 @@
 //! parallelism. Products under `32^3` multiply-adds skip packing and run
 //! a plain i-k-j loop; the textbook triple loop itself stays available as
 //! [`Mat::matmul_naive`] for conformance testing.
+//!
+//! **Cosine top-k.** [`CosineIndex`] keeps row norms and a transposed
+//! copy of the matrix; a block of queries accumulates every row's dot
+//! product in [`vecops::dot`]'s order (no FMA, no reassociation), so its
+//! scores equal [`vecops::cosine_similarity`] bit for bit on every CPU.
+//! Selection is `select_nth_unstable_by` under
+//! [`cosine::cmp_desc_nan_last`] with ties toward the lower row id.
 //!
 //! **SVD.** [`Mat::svd`] auto-dispatches ([`svd::SvdMethod::Auto`]):
 //! matrices whose long side is at least `256` and at least `4x` the short
@@ -51,6 +60,7 @@
 //! ```
 
 pub mod chol;
+pub mod cosine;
 pub mod gemm;
 pub mod mat;
 pub mod opt;
@@ -60,6 +70,7 @@ pub mod svd;
 pub mod vecops;
 
 pub use chol::{cholesky, lstsq, solve_spd};
+pub use cosine::CosineIndex;
 pub use mat::Mat;
 pub use procrustes::{align, orthogonal_procrustes};
 pub use svd::{svd_randomized_warm_op, RandomizedSvd, SketchOp, Svd, SvdMethod};

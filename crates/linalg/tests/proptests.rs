@@ -1,6 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use embedstab_linalg::{align, cholesky, lstsq, orthogonal_procrustes, Mat};
+use embedstab_linalg::cosine::cmp_desc_nan_last;
+use embedstab_linalg::{align, cholesky, lstsq, orthogonal_procrustes, vecops, CosineIndex, Mat};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with bounded entries and shape in the given ranges.
@@ -12,6 +13,42 @@ fn mat_strategy(
         proptest::collection::vec(-10.0f64..10.0, m * n)
             .prop_map(move |data| Mat::from_vec(m, n, data))
     })
+}
+
+/// Strategy: an `n x d` matrix with n in [2, 300] and d in [1, 40], with
+/// entries in [-2, 2] that are either rounded to integers (many exact
+/// score ties) or left fractional (rounding-sensitive sums), and with a
+/// zero row and a row holding a NaN planted at random positions.
+fn degenerate_mat_strategy() -> impl Strategy<Value = Mat> {
+    (2usize..=300, 1usize..=40).prop_flat_map(|(n, d)| {
+        (
+            (proptest::collection::vec(-2.0f64..2.0, n * d), 0u8..2),
+            0..n,
+            0..n,
+            0..d,
+        )
+            .prop_map(move |((data, round), zero, nan, col)| {
+                let data = data
+                    .into_iter()
+                    .map(|x| if round == 1 { x.round() } else { x })
+                    .collect();
+                let mut m = Mat::from_vec(n, d, data);
+                m.row_mut(zero).fill(0.0);
+                m.row_mut(nan)[col] = f64::NAN;
+                m
+            })
+    })
+}
+
+/// The ranking `CosineIndex::top_k` promises, by brute force: every row's
+/// `cosine_similarity` fully sorted (descending, NaN last, lower id first).
+fn brute_top_k(m: &Mat, q: &[f64], k: usize, skip: Option<u32>) -> Vec<(u32, u64)> {
+    let mut all: Vec<(u32, f64)> = (0..m.rows() as u32)
+        .filter(|&j| Some(j) != skip)
+        .map(|j| (j, vecops::cosine_similarity(q, m.row(j as usize))))
+        .collect();
+    all.sort_by(|a, b| cmp_desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
+    all.iter().take(k).map(|&(j, s)| (j, s.to_bits())).collect()
 }
 
 /// Strategy: a tall matrix (rows >= cols).
@@ -123,5 +160,23 @@ proptest! {
     #[test]
     fn transpose_involution(a in mat_strategy(1..12, 1..12)) {
         prop_assert_eq!(a.transpose().transpose(), a);
+    }
+
+    #[test]
+    fn cosine_top_k_is_exact(m in degenerate_mat_strategy(), k_frac in 0.0f64..1.2) {
+        // k from 1 past the row count, so `k >= rows` is covered too.
+        let k = 1 + (k_frac * m.rows() as f64) as usize;
+        let index = CosineIndex::new(&m);
+        // Every row as a query, once excluding itself, once not.
+        let ids: Vec<u32> = (0..m.rows() as u32).collect();
+        for exclude in [Some(ids.as_slice()), None] {
+            let got = index.top_k(&m, k, exclude).expect("shapes match");
+            prop_assert_eq!(got.len(), m.rows());
+            for (q, nbrs) in got.iter().enumerate() {
+                let bits: Vec<(u32, u64)> = nbrs.iter().map(|&(j, s)| (j, s.to_bits())).collect();
+                let skip = exclude.map(|_| q as u32);
+                prop_assert_eq!(bits, brute_top_k(&m, m.row(q), k, skip));
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The TCP front-end: a threaded server that answers [`wire`] requests
 //! from per-tenant [`SnapshotStore`]s, coalescing concurrently arriving
-//! queries into single batched GEMM calls.
+//! queries into single batched calls.
 //!
 //! Architecture (thread-per-connection; epoll and a v2 protocol are
 //! tracked ROADMAP headroom):
@@ -14,7 +14,8 @@
 //!   job arrives it waits one bounded *batch window* so concurrent
 //!   clients' queries pile up, then answers the whole pile with **one**
 //!   [`Snapshot::try_lookup_batch`] / [`Snapshot::try_nearest_batch`]
-//!   call riding the blocked GEMM kernel.
+//!   call (nearest-word batches go through the exact cosine top-k
+//!   kernel).
 //!
 //! Safety properties, all pinned by `tests/server_live.rs`:
 //!

@@ -19,10 +19,11 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use crate::error::QueryError;
 use embedstab_embeddings::Embedding;
-use embedstab_linalg::Mat;
+use embedstab_linalg::{CosineIndex, Mat};
 use embedstab_pipeline::cache::{atomic_write, decode_mat, encode_mat, read_u32};
 use embedstab_quant::{quantize, Precision};
 use serde::{Deserialize, Serialize};
@@ -66,24 +67,23 @@ pub struct SnapshotMeta {
 }
 
 /// One served embedding snapshot: quantized values plus metadata.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Snapshot {
     meta: SnapshotMeta,
     embedding: Embedding,
-    /// Per-row L2 norms, precomputed once at construction: the snapshot
-    /// is immutable and [`Snapshot::nearest_batch`] is the serving hot
-    /// path, so cosine denominators must not be recomputed per query
-    /// batch. Derived from `embedding`, not persisted.
-    row_norms: Vec<f64>,
+    /// The cosine top-k index (row norms + a transposed copy), built on
+    /// the first nearest-word query and reused by every later one: the
+    /// snapshot is immutable. Built lazily so that the store's history of
+    /// published snapshots, which is never queried, does not carry a
+    /// second copy of every matrix. Derived from `embedding`, not
+    /// persisted, and not part of equality.
+    index: OnceLock<CosineIndex>,
 }
 
-fn row_norms(embedding: &Embedding) -> Vec<f64> {
-    (0..embedding.vocab_size())
-        .map(|i| {
-            let r = embedding.mat().row(i);
-            r.iter().map(|x| x * x).sum::<f64>().sqrt()
-        })
-        .collect()
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Snapshot) -> bool {
+        self.meta == other.meta && self.embedding == other.embedding
+    }
 }
 
 impl Snapshot {
@@ -110,7 +110,7 @@ impl Snapshot {
                 },
                 predicted_instability,
             },
-            row_norms: row_norms(&q.embedding),
+            index: OnceLock::new(),
             embedding: q.embedding,
         }
     }
@@ -183,57 +183,33 @@ impl Snapshot {
     }
 
     /// The `k` nearest words (by cosine similarity) to each query vector,
-    /// for a whole batch of queries at once. The `queries x vocab` score
-    /// matrix is one `matmul_nt` call, so the batch rides the blocked GEMM
-    /// kernel instead of `queries` separate vocabulary scans.
+    /// for a whole batch of queries at once, through the exact cosine
+    /// top-k kernel ([`CosineIndex::top_k`]): one pass over the snapshot's
+    /// transposed rows per block of queries, then a partial selection of
+    /// the top `k` per query. Scores equal
+    /// [`cosine_similarity`](embedstab_linalg::vecops::cosine_similarity)
+    /// bit for bit (index-order sums, clamped to `[-1, 1]`), on any CPU.
     ///
     /// Each result is sorted by descending similarity; ties break toward
-    /// the lower word id, so answers are deterministic.
+    /// the lower word id, and a NaN score (a degenerate snapshot row)
+    /// ranks below every real neighbor, so answers are deterministic. `k`
+    /// is capped at the vocabulary size.
     ///
-    /// # Panics
-    ///
-    /// Panics (inside the GEMM shape check) if the query dimension
-    /// differs from the snapshot's. Wire-facing callers use
-    /// [`Snapshot::try_nearest_batch`] instead.
+    /// A batch whose dimension differs from the snapshot's gets empty
+    /// neighbor lists; wire-facing callers use
+    /// [`Snapshot::try_nearest_batch`], which reports it as a typed error.
     pub fn nearest_batch(&self, queries: &Mat, k: usize) -> Vec<Vec<(u32, f64)>> {
-        let vocab = self.meta.vocab_size;
-        let k = k.min(vocab);
-        let scores = queries.matmul_nt(self.embedding.mat());
-        let norms = &self.row_norms;
-        (0..queries.rows())
-            .map(|qi| {
-                let qnorm = {
-                    let r = queries.row(qi);
-                    r.iter().map(|x| x * x).sum::<f64>().sqrt()
-                };
-                let mut ranked: Vec<(u32, f64)> = scores
-                    .row(qi)
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &dot)| {
-                        let denom = qnorm * norms[w];
-                        let sim = if denom > 0.0 { dot / denom } else { 0.0 };
-                        (w as u32, sim)
-                    })
-                    .collect();
-                // A NaN similarity (degenerate snapshot row) must not
-                // panic the serving path — and must rank below every real
-                // neighbor, whatever its sign bit, so the top-k answer
-                // stays meaningful and deterministic.
-                ranked.sort_unstable_by(|a, b| {
-                    embedstab_core::stats::cmp_desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
-                });
-                ranked.truncate(k);
-                ranked
-            })
-            .collect()
+        self.index
+            .get_or_init(|| CosineIndex::new(self.embedding.mat()))
+            .top_k(queries, k, None)
+            .unwrap_or_else(|| vec![Vec::new(); queries.rows()])
     }
 
     /// Like [`Snapshot::nearest_batch`], but malformed input degrades to
     /// a typed [`QueryError`]: a query-dimension mismatch, an empty query
-    /// batch, or `k = 0`. The happy path is byte-for-byte the panicking
-    /// variant's (one blocked GEMM + deterministic ranking), so batching
-    /// through this entry point changes no answers.
+    /// batch, or `k = 0`. The happy path is byte-for-byte the other
+    /// variant's (the same cosine top-k kernel), so batching through this
+    /// entry point changes no answers.
     pub fn try_nearest_batch(
         &self,
         queries: &Mat,
@@ -296,7 +272,7 @@ impl Snapshot {
         let embedding = Embedding::new(mat);
         Some(Snapshot {
             meta,
-            row_norms: row_norms(&embedding),
+            index: OnceLock::new(),
             embedding,
         })
     }
@@ -535,6 +511,8 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embedstab_core::stats::cmp_desc_nan_last;
+    use embedstab_linalg::vecops;
     use rand::SeedableRng;
 
     fn scratch(label: &str) -> PathBuf {
@@ -746,6 +724,8 @@ mod tests {
                 expected: 4
             }
         );
+        // The panic-free variant answers a mismatched batch with nothing.
+        assert_eq!(snap.nearest_batch(&wrong_dim, 3), vec![Vec::new(); 2]);
         // k = 0 and empty batches.
         let ok_queries = snap.lookup_batch(&[1, 2]);
         assert_eq!(
@@ -774,26 +754,58 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The ranking `nearest_batch` promises, by brute force: every word's
+    /// `cosine_similarity`, fully sorted by descending score (NaN last),
+    /// ties toward the lower id.
+    fn naive_nearest(snap: &Snapshot, q: &[f64], k: usize) -> Vec<(u32, u64)> {
+        let vocab = snap.meta().vocab_size as u32;
+        let mut all: Vec<(u32, f64)> = (0..vocab)
+            .map(|w| (w, vecops::cosine_similarity(q, snap.lookup(w))))
+            .collect();
+        all.sort_by(|a, b| cmp_desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
+        all.iter().take(k).map(|&(w, s)| (w, s.to_bits())).collect()
+    }
+
     #[test]
     fn nearest_batch_matches_naive_scan() {
-        let dir = scratch("snap_nearest");
-        let mut store = SnapshotStore::open(&dir).expect("open");
-        store
-            .publish(&emb(6, 30, 5), Precision::FULL, None)
-            .expect("publish");
-        let snap = store.live().expect("live");
-        let queries = snap.lookup_batch(&[3, 17]);
-        let results = snap.nearest_batch(&queries, 4);
-        assert_eq!(results.len(), 2);
-        for (qi, &word) in [3u32, 17].iter().enumerate() {
-            // A word's own vector is its top cosine neighbor.
-            assert_eq!(results[qi][0].0, word);
-            assert!((results[qi][0].1 - 1.0).abs() < 1e-12);
-            // Similarities are descending.
-            for w in results[qi].windows(2) {
-                assert!(w[0].1 >= w[1].1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut m = Mat::random_normal(30, 9, &mut rng);
+        // A degenerate NaN row, a zero row, and an exact duplicate (a tie
+        // the lower id must win).
+        m.row_mut(7)[2] = f64::NAN;
+        m.row_mut(11).fill(0.0);
+        let dup = m.row(3).to_vec();
+        m.row_mut(12).copy_from_slice(&dup);
+        let snap = Snapshot::quantized(Version(1), &Embedding::new(m), Precision::FULL, None);
+        let mut queries = snap.lookup_batch(&[3, 17, 7, 11, 12, 0, 29]);
+        queries
+            .row_mut(5)
+            .copy_from_slice(&[0.5, -1.0, 2.0, 0.0, 1e-3, 3.0, -0.25, 0.0, 7.5]);
+        for k in [1, 4, 29, 30, 31, 100] {
+            let results = snap.nearest_batch(&queries, k);
+            assert_eq!(results.len(), queries.rows());
+            for (qi, got) in results.iter().enumerate() {
+                let got: Vec<(u32, u64)> = got.iter().map(|&(w, s)| (w, s.to_bits())).collect();
+                assert_eq!(
+                    got,
+                    naive_nearest(&snap, queries.row(qi), k),
+                    "k {k} query {qi}"
+                );
+            }
+            // A word's own vector is its top neighbor, and its duplicate
+            // ranks right behind it with the same score.
+            assert_eq!(results[0][0].0, 3);
+            assert!(results[0][0].1 > 1.0 - 1e-12);
+            if k > 1 {
+                assert_eq!(results[0][1], (12, results[0][0].1));
+                assert_eq!(results[4][..2], results[0][..2]);
+            }
+            // The NaN row ranks after every real neighbor.
+            if k >= 30 {
+                assert_eq!(results[0].len(), 30);
+                assert_eq!(results[0][29].0, 7);
+                assert!(results[0][29].1.is_nan());
             }
         }
-        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -134,7 +134,7 @@ fn main() {
         GateOutcome::Bootstrapped { .. } => unreachable!("store already has a live snapshot"),
     }
 
-    // The served lookup path is batched: one blocked-GEMM call answers a
+    // The served lookup path is batched: one cosine top-k call answers a
     // whole batch of nearest-neighbor queries against the live snapshot.
     let live = registry
         .tenant("shared")
@@ -149,7 +149,7 @@ fn main() {
         .map(|(q, nn)| format!("{q}->{}", nn[1].0))
         .collect();
     println!(
-        "[serve] batched 2-NN for {} queries via one GEMM: {}\n",
+        "[serve] batched 2-NN for {} queries in one call: {}\n",
         query_ids.len(),
         shown.join(" ")
     );
