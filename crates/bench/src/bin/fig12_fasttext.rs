@@ -1,7 +1,7 @@
 //! Figure 12 (Appendix E.1): the stability-memory tradeoff for fastText
 //! skipgram subword embeddings on SST-2 and NER.
 
-use embedstab_bench::aggregate;
+use embedstab_bench::{aggregate, split_by_task};
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
 use embedstab_pipeline::{Experiment, Scale, World};
@@ -18,17 +18,16 @@ fn main() {
     let world = World::build(&params, 0);
 
     println!("\n=== Figure 12: fastText skipgram memory tradeoff ===");
-    let mut rows = Experiment::new(&world)
-        .tasks(["sst2", "ner"])
-        .algos([Algo::FastTextSg])
-        .run();
-    let ner: Vec<_> = rows.iter().filter(|r| r.task == "ner").cloned().collect();
-    rows.retain(|r| r.task == "sst2");
-    let sst2 = rows;
-    for (task, rows) in [("sst2", &sst2), ("ner", &ner)] {
+    let rows = split_by_task(
+        Experiment::new(&world)
+            .tasks(["sst2", "ner"])
+            .algos([Algo::FastTextSg])
+            .run(),
+    );
+    for task in ["sst2", "ner"] {
         println!("\n--- FT-SG, {task} ---");
         let mut table = Vec::new();
-        for a in aggregate(rows) {
+        for a in aggregate(&rows[task]) {
             table.push(vec![
                 a.bits.to_string(),
                 a.dim.to_string(),

@@ -52,18 +52,14 @@ fn main() {
                 "  DI_T ~ C_T - {:.2} * log2(bits/word)   (paper: 1.3)",
                 fit.drop_per_doubling
             );
-            let lo = fit
-                .intercepts
-                .iter()
-                .zip(&fit.groups)
-                .map(|(c, g)| (fit.predict(g, cutoff), c))
-                .fold(f64::INFINITY, |m, (p, _)| m.min(p))
-                .max(0.5);
+            let reduction = match fit.relative_reduction() {
+                Some((low, high)) => format!("{:.0}%-{:.0}%", 100.0 * low, 100.0 * high),
+                None => "none".into(),
+            };
             println!(
-                "  2x memory => -{:.2}% absolute; relative reduction up to {:.0}% at DI={:.1}%",
-                fit.drop_per_doubling,
-                100.0 * fit.relative_reduction(lo),
-                lo
+                "  2x memory => -{:.2}% absolute; relative reduction {reduction} at observed \
+                 DI {:.1}%-{:.1}%   (paper: 5%-37% at 25.9%-3.5%)",
+                fit.drop_per_doubling, fit.max_observed_pct, fit.min_observed_pct
             );
         }
         None => println!("\nRule of thumb: no observations under the cutoff"),

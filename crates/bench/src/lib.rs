@@ -13,13 +13,10 @@ use embedstab_core::measures::MeasureKind;
 use embedstab_core::selection::ConfigPoint;
 use embedstab_core::stats;
 use embedstab_pipeline::{
-    EmbeddingGrid, Experiment, JsonlSink, PairCache, ProgressSink, Row, Scale, World,
+    EmbeddingGrid, Experiment, JsonlSink, ProgressSink, Row, RowSink, Scale, World,
 };
 
 /// A built experiment context: world plus trained embedding grid.
-///
-/// (Formerly named `Experiment`; that name now belongs to the pipeline's
-/// [`Experiment`] builder, which the binaries run grids through.)
 pub struct Setup {
     /// The corpus pair and datasets.
     pub world: World,
@@ -30,24 +27,9 @@ pub struct Setup {
 /// Builds a world and trains the grid for the given algorithms at the
 /// given scale (master seed 0, shared by all binaries so grids agree).
 pub fn setup(scale: Scale, algos: &[embedstab_embeddings::Algo]) -> Setup {
-    setup_cached(scale, algos, None)
-}
-
-/// Like [`setup`], but loads/stores trained pairs through an on-disk
-/// [`PairCache`] when a directory is given (the `--cache-dir` flag).
-pub fn setup_cached(
-    scale: Scale,
-    algos: &[embedstab_embeddings::Algo],
-    cache_dir: Option<&Path>,
-) -> Setup {
     let world = world_from_args(scale);
     let params = &world.params;
-    let cache = cache_dir.map(|dir| {
-        PairCache::open(dir, world.fingerprint())
-            .unwrap_or_else(|e| panic!("cannot open cache dir {}: {e}", dir.display()))
-    });
-    let grid =
-        EmbeddingGrid::build_cached(&world, algos, &params.dims, &params.seeds, cache.as_ref());
+    let grid = EmbeddingGrid::build(&world, algos, &params.dims, &params.seeds);
     Setup { world, grid }
 }
 
@@ -70,21 +52,15 @@ pub fn world_from_args(scale: Scale) -> World {
 ///
 /// Panics with a usage message on a malformed value.
 pub fn shard_from_args() -> Option<(usize, usize)> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--shard" {
-            let val = args.get(i + 1).map(String::as_str).unwrap_or("");
-            let parsed = val.split_once('/').and_then(|(a, b)| {
-                let i = a.parse::<usize>().ok()?;
-                let n = b.parse::<usize>().ok()?;
-                (n > 0 && i < n).then_some((i, n))
-            });
-            return Some(parsed.unwrap_or_else(|| {
-                panic!("bad --shard '{val}'; use i/n with 0 <= i < n, e.g. --shard 0/2")
-            }));
-        }
-    }
-    None
+    let val = flag_value("--shard")?.unwrap_or_default();
+    let parsed = val.split_once('/').and_then(|(a, b)| {
+        let i = a.parse::<usize>().ok()?;
+        let n = b.parse::<usize>().ok()?;
+        (n > 0 && i < n).then_some((i, n))
+    });
+    Some(parsed.unwrap_or_else(|| {
+        panic!("bad --shard '{val}'; use i/n with 0 <= i < n, e.g. --shard 0/2")
+    }))
 }
 
 /// Parses `--cache-dir path` from the process arguments.
@@ -98,16 +74,15 @@ pub fn world_cache_from_args() -> Option<PathBuf> {
 }
 
 fn path_flag_from_args(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == flag {
-            let val = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a path"));
-            return Some(PathBuf::from(val));
-        }
-    }
-    None
+    let val = flag_value(flag)?.unwrap_or_else(|| panic!("{flag} needs a path"));
+    Some(PathBuf::from(val))
+}
+
+/// The process argument after `flag`: `None` without the flag,
+/// `Some(None)` when the flag comes last.
+fn flag_value(flag: &str) -> Option<Option<String>> {
+    let mut args = std::env::args().skip_while(|a| a != flag);
+    args.next().map(|_| args.next())
 }
 
 /// The canonical ordering key for merged rows: one entry per grid
@@ -412,26 +387,26 @@ pub fn rows_for_algo(rows: &[Row], algo: &str) -> Vec<Row> {
     rows.iter().filter(|r| r.algo == algo).cloned().collect()
 }
 
-/// Loads cached rows from `results/<name>.json`, or computes and caches
-/// them. Several tables share the same (expensive) grid rows; the first
-/// binary to run pays, the rest reuse. Pass `--fresh` to any binary to
-/// bypass the cache.
-pub fn rows_cached(name: &str, compute: impl FnOnce() -> Vec<Row>) -> Vec<Row> {
-    let fresh = std::env::args().any(|a| a == "--fresh");
-    let path = std::path::Path::new("results").join(format!("{name}.json"));
-    if !fresh {
-        if let Ok(body) = std::fs::read_to_string(&path) {
-            if let Ok(rows) = serde_json::from_str::<Vec<Row>>(&body) {
-                eprintln!("[cache] loaded {} rows from {}", rows.len(), path.display());
-                return rows;
-            }
-        }
+/// Loads the cached rows of `results/<name>.json`, or `None` on a miss.
+/// Several tables share the same (expensive) grid rows; the first binary
+/// to run pays, the rest reuse. Pass `--fresh` to any binary to bypass
+/// the cache.
+fn cached_rows(name: &str) -> Option<Vec<Row>> {
+    if std::env::args().any(|a| a == "--fresh") {
+        return None;
     }
-    let rows = compute();
-    if let Err(e) = embedstab_pipeline::report::save_json(name, &rows) {
-        eprintln!("[cache] warning: could not save {name}: {e}");
-    }
-    rows
+    let path = Path::new("results").join(format!("{name}.json"));
+    let rows = parse_row_cache(&std::fs::read_to_string(&path).ok()?)?;
+    eprintln!("[cache] loaded {} rows from {}", rows.len(), path.display());
+    Some(rows)
+}
+
+/// Parses a row cache file. A file that does not parse, or holds a row
+/// without measures, is a miss: row files written before measures were
+/// computed once per pair stored every task but the first without them.
+fn parse_row_cache(body: &str) -> Option<Vec<Row>> {
+    let rows: Vec<Row> = serde_json::from_str(body).ok()?;
+    rows.iter().all(|r| r.measures.is_some()).then_some(rows)
 }
 
 /// The scale name as a cache-key suffix.
@@ -443,28 +418,19 @@ pub fn scale_tag(scale: Scale) -> &'static str {
     }
 }
 
-/// Copies measure values from `with` onto `rows` by matching
-/// `(algo, dim, bits, seed)` — measures depend only on the embedding pair,
-/// not on the downstream task, so one task's grid can supply them all.
-pub fn attach_measures(rows: &mut [Row], with: &[Row]) {
-    let map: BTreeMap<(String, usize, u8, u64), embedstab_core::MeasureValues> = with
-        .iter()
-        .filter_map(|r| {
-            r.measures
-                .map(|m| ((r.algo.clone(), r.dim, r.bits, r.seed), m))
-        })
-        .collect();
-    for r in rows.iter_mut() {
-        if r.measures.is_none() {
-            r.measures = map.get(&(r.algo.clone(), r.dim, r.bits, r.seed)).copied();
-        }
+/// Groups rows by task, keeping each task's rows in run order.
+pub fn split_by_task(rows: Vec<Row>) -> BTreeMap<String, Vec<Row>> {
+    let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();
+    for row in rows {
+        out.entry(row.task.clone()).or_default().push(row);
     }
+    out
 }
 
-/// Computes (or loads) the standard full-grid rows for the given tasks
-/// over the three main algorithms. Measures are computed once — during the
-/// first task's grid — and attached to the rest, since they only depend on
-/// the embedding pair.
+/// Computes (or loads) the standard full-grid rows, measures included,
+/// for the given tasks over the three main algorithms. One [`Experiment`]
+/// runs every task that needs computing, so each embedding pair's
+/// measures are computed once and shared by all tasks.
 ///
 /// Row caches live under `results/rows_<task>_<scale>.json`.
 ///
@@ -472,76 +438,60 @@ pub fn attach_measures(rows: &mut [Row], with: &[Row]) {
 /// `--cache-dir <path>` shares trained embedding pairs on disk,
 /// `--world-cache <path>` loads (or builds once) the world itself from an
 /// on-disk [`WorldCache`](embedstab_pipeline::WorldCache), and
-/// `--shard i/n` makes this process cover only its slice of each task's
-/// grid (rows then stream to
+/// `--shard i/n` makes this process cover only its slice of the pair grid
+/// (rows then stream to
 /// `results/rows_<task>_<scale>.shard<i>of<n>.jsonl` instead of the shared
 /// JSON row cache, so partial results never poison it).
 pub fn standard_rows(scale: Scale, tasks: &[&str]) -> BTreeMap<String, Vec<Row>> {
     let tag = scale_tag(scale);
-    let cache_dir = cache_dir_from_args();
-    if let Some((index, n)) = shard_from_args() {
-        // Sharded: no pre-built grid — each task's Experiment trains (or
-        // cache-loads) exactly the pairs its shard touches. Sharding
-        // without a shared cache would retrain pairs per task, so default
-        // the cache on.
-        let cache = cache_dir.unwrap_or_else(|| PathBuf::from("cache"));
-        let world = world_from_args(scale);
-        let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();
-        let mut measure_source: Option<Vec<Row>> = None;
-        for (i, &task) in tasks.iter().enumerate() {
-            let first = i == 0;
-            let jsonl = format!("results/rows_{task}_{tag}.shard{index}of{n}.jsonl");
-            std::fs::remove_file(&jsonl).ok(); // append sink: start clean
-            eprintln!(
-                "[run] {task} grid, shard {index}/{n} (cache {})...",
-                cache.display()
-            );
-            let mut rows = Experiment::new(&world)
-                .tasks([task])
-                .with_measures(first)
-                .shard(index, n)
-                .cache_dir(&cache)
-                .sink(JsonlSink::new(&jsonl))
-                .sink(ProgressSink::new(format!("{task}/{tag} {index}/{n}"), 8))
-                .run();
-            if first {
-                measure_source = Some(rows.clone());
-            } else if let Some(src) = &measure_source {
-                attach_measures(&mut rows, src);
-            }
+    let shard = shard_from_args();
+    let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();
+    for &task in tasks.iter().filter(|_| shard.is_none()) {
+        if let Some(rows) = cached_rows(&format!("rows_{task}_{tag}")) {
             out.insert(task.to_string(), rows);
         }
+    }
+    let missed: Vec<&str> = tasks
+        .iter()
+        .copied()
+        .filter(|&t| !out.contains_key(t))
+        .collect();
+    if missed.is_empty() {
         return out;
     }
-    let mut exp: Option<Setup> = None;
-    let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();
-    let mut measure_source: Option<Vec<Row>> = None;
-    for (i, &task) in tasks.iter().enumerate() {
-        let name = format!("rows_{task}_{tag}");
-        let first = i == 0;
-        let rows = {
-            let exp_ref = &mut exp;
-            let cache_dir = cache_dir.as_deref();
-            rows_cached(&name, || {
-                let e = exp_ref.get_or_insert_with(|| {
-                    eprintln!("[setup] building world + embedding grid ({tag})...");
-                    setup_cached(scale, &embedstab_embeddings::Algo::MAIN, cache_dir)
-                });
-                eprintln!("[run] {task} grid...");
-                Experiment::new(&e.world)
-                    .grid(&e.grid)
-                    .tasks([task])
-                    .with_measures(first)
-                    .run()
-            })
-        };
-        let mut rows = rows;
-        if first {
-            measure_source = Some(rows.clone());
-        } else if let Some(src) = &measure_source {
-            attach_measures(&mut rows, src);
+    let world = world_from_args(scale);
+    let mut exp = Experiment::new(&world)
+        .tasks(missed.iter().copied())
+        .with_measures(true);
+    // Sibling shards share trained pairs, so sharding turns the cache on.
+    if let Some(dir) = cache_dir_from_args().or_else(|| shard.map(|_| PathBuf::from("cache"))) {
+        exp = exp.cache_dir(dir);
+    }
+    if let Some((index, n)) = shard {
+        let mut files: BTreeMap<String, JsonlSink> = BTreeMap::new();
+        for &task in tasks {
+            let jsonl = format!("results/rows_{task}_{tag}.shard{index}of{n}.jsonl");
+            std::fs::remove_file(&jsonl).ok(); // append sink: start clean
+            files.insert(task.to_string(), JsonlSink::new(jsonl));
         }
-        out.insert(task.to_string(), rows);
+        exp = exp
+            .shard(index, n)
+            .sink(move |row: &Row| {
+                if let Some(file) = files.get_mut(&row.task) {
+                    file.emit(row);
+                }
+            })
+            .sink(ProgressSink::new(format!("{tag} {index}/{n}"), 8));
+    }
+    eprintln!("[run] {} grid...", missed.join("+"));
+    for (task, rows) in split_by_task(exp.run()) {
+        let name = format!("rows_{task}_{tag}");
+        if shard.is_none() {
+            if let Err(e) = embedstab_pipeline::report::save_json(&name, &rows) {
+                eprintln!("[cache] warning: could not save {name}: {e}");
+            }
+        }
+        out.insert(task, rows);
     }
     out
 }
@@ -570,6 +520,19 @@ mod tests {
                 overlap_dist: 0.5,
             }),
         }
+    }
+
+    #[test]
+    fn row_cache_without_measures_is_a_miss() {
+        let rows = vec![row("mr", "MC", 8, 4, 0, 0.1), row("mr", "MC", 8, 4, 1, 0.2)];
+        let body = serde_json::to_string_pretty(&rows).expect("rows serialize");
+        let hit = parse_row_cache(&body).expect("rows with measures hit");
+        assert_eq!(rows_to_jsonl(&hit), rows_to_jsonl(&rows));
+        let mut stale = rows.clone();
+        stale[1].measures = None;
+        let body = serde_json::to_string_pretty(&stale).expect("rows serialize");
+        assert!(parse_row_cache(&body).is_none());
+        assert!(parse_row_cache("[{\"task\":").is_none());
     }
 
     #[test]

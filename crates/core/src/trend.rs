@@ -31,6 +31,10 @@ pub struct RuleOfThumb {
     pub intercepts: Vec<f64>,
     /// Number of observations used.
     pub n_points: usize,
+    /// Smallest observed disagreement (percent) among the fitted points.
+    pub min_observed_pct: f64,
+    /// Largest observed disagreement (percent) among the fitted points.
+    pub max_observed_pct: f64,
 }
 
 impl RuleOfThumb {
@@ -49,11 +53,18 @@ impl RuleOfThumb {
         self.intercepts[idx] - self.drop_per_doubling * memory_bits.log2()
     }
 
-    /// The relative reduction range implied by a 1-doubling drop, at the
-    /// given extreme instability values (the paper computes 5%-37% from
-    /// 25.9% and 3.5%).
-    pub fn relative_reduction(&self, instability_pct: f64) -> f64 {
-        self.drop_per_doubling / instability_pct
+    /// The relative reduction range `(low, high)` implied by a 1-doubling
+    /// drop at the observed extremes: the drop over the largest and over
+    /// the smallest observed disagreement (the paper computes 5%-37% from
+    /// 25.9% and 3.5%). A doubling cannot remove more than all of the
+    /// instability, so both ends are bounded to `(0, 1]`: an observed
+    /// disagreement at or below the drop (zero, say) gives 1.
+    ///
+    /// Returns `None` when the drop is not positive (no reduction).
+    pub fn relative_reduction(&self) -> Option<(f64, f64)> {
+        let drop = self.drop_per_doubling;
+        let at = |pct: f64| if pct > drop { drop / pct } else { 1.0 };
+        (drop > 0.0).then(|| (at(self.max_observed_pct), at(self.min_observed_pct)))
     }
 }
 
@@ -90,11 +101,14 @@ pub fn fit_rule_of_thumb(
         });
     }
     let LinearLogFit { slope, intercepts } = linear_log_fit(&points, groups.len())?;
+    let observed = kept.iter().map(|o| o.disagreement_pct);
     Some(RuleOfThumb {
         drop_per_doubling: slope,
         groups,
         intercepts,
         n_points: kept.len(),
+        min_observed_pct: observed.clone().fold(f64::INFINITY, f64::min),
+        max_observed_pct: observed.fold(f64::NEG_INFINITY, f64::max),
     })
 }
 
@@ -137,17 +151,52 @@ mod tests {
         assert!((fit.drop_per_doubling - 1.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn relative_reduction_matches_paper_arithmetic() {
-        let fit = RuleOfThumb {
-            drop_per_doubling: 1.3,
+    fn fit(drop: f64, min_pct: f64, max_pct: f64) -> RuleOfThumb {
+        RuleOfThumb {
+            drop_per_doubling: drop,
             groups: vec!["g".into()],
             intercepts: vec![0.0],
-            n_points: 1,
-        };
-        // Paper: 1.3/3.5 ~ 0.37 and 1.3/25.9 ~ 0.05.
-        assert!((fit.relative_reduction(3.5) - 0.37).abs() < 0.005);
-        assert!((fit.relative_reduction(25.9) - 0.05).abs() < 0.001);
+            n_points: 2,
+            min_observed_pct: min_pct,
+            max_observed_pct: max_pct,
+        }
+    }
+
+    #[test]
+    fn relative_reduction_matches_paper_arithmetic() {
+        // Paper: 1.3/25.9 ~ 0.05 and 1.3/3.5 ~ 0.37.
+        let (low, high) = fit(1.3, 3.5, 25.9).relative_reduction().expect("drop");
+        assert!((low - 0.05).abs() < 0.001);
+        assert!((high - 0.37).abs() < 0.005);
+    }
+
+    #[test]
+    fn relative_reduction_is_bounded_by_one() {
+        // A zero observed minimum would divide by zero; a doubling
+        // removes at most all of the instability.
+        assert_eq!(
+            fit(1.3, 0.0, 25.9).relative_reduction(),
+            Some((1.3 / 25.9, 1.0))
+        );
+        assert_eq!(fit(1.3, 0.0, 0.5).relative_reduction(), Some((1.0, 1.0)));
+    }
+
+    #[test]
+    fn non_positive_drop_has_no_reduction() {
+        assert_eq!(fit(0.0, 3.5, 25.9).relative_reduction(), None);
+        assert_eq!(fit(-0.4, 3.5, 25.9).relative_reduction(), None);
+        assert_eq!(fit(f64::NAN, 3.5, 25.9).relative_reduction(), None);
+    }
+
+    #[test]
+    fn fit_records_observed_extremes() {
+        let data = [
+            obs("a", 100.0, 9.0),
+            obs("a", 200.0, 7.5),
+            obs("b", 100.0, 2.0),
+        ];
+        let fit = fit_rule_of_thumb(&data, 1000.0).expect("fit");
+        assert_eq!((fit.min_observed_pct, fit.max_observed_pct), (2.0, 9.0));
     }
 
     #[test]

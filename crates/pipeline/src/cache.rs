@@ -85,7 +85,9 @@ impl PairCache {
 /// an atomic rename, the durability convention every on-disk artifact in
 /// this workspace follows (the pair cache here, `report::save_json`, and
 /// the serving layer's snapshot store): readers never observe a partial
-/// file, and concurrent writers race to identical final bytes.
+/// file, and concurrent writers race to identical final bytes. On unix
+/// the parent directory is synced after the rename, so a write that
+/// returned `Ok` survives a crash.
 ///
 /// # Errors
 ///
@@ -101,7 +103,14 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         f.write_all(bytes)?;
         f.sync_all()?;
     }
-    fs::rename(&tmp, path)
+    fs::rename(&tmp, path)?;
+    // Sync the directory too, so the rename itself survives a crash.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Appends a matrix to `out` in the cache's raw little-endian layout:
@@ -204,6 +213,23 @@ mod tests {
             })
             .count();
         assert_eq!(stray, 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_overwrites_and_leaves_no_temp_file() {
+        let dir = scratch_dir("atomic_write");
+        fs::create_dir_all(&dir).expect("dir");
+        let path = dir.join("value.bin");
+        atomic_write(&path, b"first").expect("first write");
+        atomic_write(&path, b"second").expect("second write");
+        assert_eq!(fs::read(&path).expect("read"), b"second");
+        let names: Vec<_> = fs::read_dir(&dir)
+            .expect("dir")
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, ["value.bin"]);
         fs::remove_dir_all(&dir).ok();
     }
 

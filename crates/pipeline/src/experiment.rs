@@ -21,19 +21,22 @@
 //! ```
 //!
 //! Configurations are enumerated deterministically as
-//! `task x algo x dim x precision x seed`; [`Experiment::shard`] keeps
-//! every `n`-th configuration, so the union over shards `0..n` is exactly
+//! `task x algo x dim x precision x seed`. Measures depend only on the
+//! embedding pair `(algo, dim, precision, seed)`, so a run computes them
+//! once per pair and shares them across tasks, and [`Experiment::shard`]
+//! partitions pairs rather than rows: every `n`-th pair goes to a shard
+//! with all of its tasks' rows. The union over shards `0..n` is exactly
 //! the unsharded run (the `experiment_api` integration tests pin this,
 //! bitwise).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use embedstab_core::measures::{KnnMeasure, MeasureSuite};
 use embedstab_core::MeasureValues;
 use embedstab_downstream::{NerTask, PairSpec, SentimentTask, Task};
-use embedstab_embeddings::{Algo, Embedding};
+use embedstab_embeddings::Algo;
 use embedstab_quant::{bits_per_word, Precision};
 use parking_lot::Mutex;
 
@@ -48,6 +51,14 @@ use crate::world_cache::WorldCache;
 /// One enumerated grid configuration: `(task index, algo, dim, precision,
 /// seed)`.
 type Config = (usize, Algo, usize, Precision, u64);
+
+/// One embedding-pair configuration `(algo, dim, precision, seed)`: what
+/// the measures depend on, and the unit [`Experiment::shard`] partitions.
+type PairConfig = (Algo, usize, Precision, u64);
+
+/// One measure slot per pair configuration, filled by whichever row of
+/// that pair gets there first.
+type MeasureMemo = BTreeMap<PairConfig, OnceLock<MeasureValues>>;
 
 /// A predicate over `(algo, dim, precision, seed)` restricting the grid to
 /// arbitrary configuration subsets (e.g. a fixed memory budget).
@@ -131,8 +142,8 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Also computes the five embedding distance measures per
-    /// configuration.
+    /// Also computes the five embedding distance measures, once per
+    /// embedding pair and shared by every task's row for it.
     pub fn with_measures(mut self, yes: bool) -> Self {
         self.opts.with_measures = yes;
         self
@@ -179,9 +190,12 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Runs only shard `index` of `n` disjoint shards: configuration `i`
-    /// of the (filtered) enumeration belongs to shard `i % n`. The union
-    /// of rows over shards `0..n` equals the unsharded run exactly.
+    /// Runs only shard `index` of `n` disjoint shards: the `j`-th pair
+    /// configuration `(algo, dim, precision, seed)` of the (filtered)
+    /// enumeration belongs, with every task's row for it, to shard
+    /// `j % n`. A single-task run thus shards row `j` to `j % n`, and a
+    /// multi-task shard never computes another shard's measures. The
+    /// union of rows over shards `0..n` equals the unsharded run exactly.
     ///
     /// # Panics
     ///
@@ -227,34 +241,30 @@ impl<'w> Experiment<'w> {
     }
 
     /// Enumerates this experiment's configurations after filtering and
-    /// sharding, in deterministic order.
+    /// sharding, in deterministic task-major order: each task repeats the
+    /// shard's pair configurations (`algo x dim x precision x seed`).
     fn configs(&self, n_tasks: usize) -> Vec<Config> {
         let p = &self.world.params;
         let dims = self.opts.dims.as_ref().unwrap_or(&p.dims);
         let precisions = self.opts.precisions.as_ref().unwrap_or(&p.precisions);
-        let mut out = Vec::new();
-        for task in 0..n_tasks {
-            for &algo in &self.opts.algos {
-                for &dim in dims {
-                    for &prec in precisions {
-                        for &seed in &p.seeds {
-                            if self.filters.iter().all(|f| f(algo, dim, prec, seed)) {
-                                out.push((task, algo, dim, prec, seed));
-                            }
-                        }
-                    }
+        let mut pairs: Vec<PairConfig> = Vec::new();
+        for &algo in &self.opts.algos {
+            for &dim in dims {
+                for &prec in precisions {
+                    pairs.extend(p.seeds.iter().map(|&seed| (algo, dim, prec, seed)));
                 }
             }
         }
-        if let Some((index, n)) = self.shard {
-            out = out
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| i % n == index)
-                .map(|(_, c)| c)
-                .collect();
-        }
-        out
+        let (index, n) = self.shard.unwrap_or((0, 1));
+        let pairs: Vec<PairConfig> = pairs
+            .into_iter()
+            .filter(|&(a, d, q, s)| self.filters.iter().all(|f| f(a, d, q, s)))
+            .skip(index)
+            .step_by(n)
+            .collect();
+        (0..n_tasks)
+            .flat_map(|task| pairs.iter().map(move |&(a, d, q, s)| (task, a, d, q, s)))
+            .collect()
     }
 
     /// Resolves named tasks against the world.
@@ -336,11 +346,8 @@ impl<'w> Experiment<'w> {
                 &built
             }
         };
-        let suites = if self.opts.with_measures {
-            measure_suites(self.world, grid, &configs, &self.opts)
-        } else {
-            BTreeMap::new()
-        };
+        let memo = measure_memo(&configs, self.opts.with_measures);
+        let suites = measure_suites(self.world, grid, &memo, &self.opts);
         for sink in &mut self.sinks {
             sink.start(configs.len());
         }
@@ -357,11 +364,13 @@ impl<'w> Experiment<'w> {
                 fine_tune_lr: opts.fine_tune_lr,
             };
             let outcome = task.train_eval(&q17, &q18, &spec);
-            let measures = if opts.with_measures {
-                Some(config_measures(world, &suites, algo, seed, &q17, &q18))
-            } else {
-                None
-            };
+            // Rows run task-major, so two workers rarely wait on one slot.
+            let measures = memo.get(&(algo, dim, prec, seed)).map(|slot| {
+                *slot.get_or_init(|| {
+                    let m = world.params.top_m.min(q17.vocab_size());
+                    suites[&(algo, seed)].compute_all(&q17.top_rows(m), &q18.top_rows(m))
+                })
+            });
             let row = Row {
                 task: task.name().to_string(),
                 algo: algo.name().to_string(),
@@ -386,12 +395,13 @@ impl<'w> Experiment<'w> {
     }
 }
 
-/// Builds the per-(algo, seed) measure suites: the EIS references are the
-/// highest-dimensional full-precision pair, as in the paper.
+/// Builds the per-(algo, seed) measure suites for the memo's pairs: the
+/// EIS references are the highest-dimensional full-precision pair, as in
+/// the paper.
 fn measure_suites(
     world: &World,
     grid: &EmbeddingGrid,
-    configs: &[Config],
+    memo: &MeasureMemo,
     opts: &GridOptions,
 ) -> BTreeMap<(Algo, u64), MeasureSuite> {
     // BTreeMap, not HashMap: suites are only read by keyed lookup today,
@@ -401,7 +411,7 @@ fn measure_suites(
     let p = &world.params;
     let max_dim = p.max_dim();
     let mut suites = BTreeMap::new();
-    for &(_, algo, _, _, seed) in configs {
+    for &(algo, _, _, seed) in memo.keys() {
         suites.entry((algo, seed)).or_insert_with(|| {
             let (e17, e18) = grid.pair(algo, max_dim, seed);
             MeasureSuite::new(
@@ -416,16 +426,14 @@ fn measure_suites(
     suites
 }
 
-fn config_measures(
-    world: &World,
-    suites: &BTreeMap<(Algo, u64), MeasureSuite>,
-    algo: Algo,
-    seed: u64,
-    q17: &Embedding,
-    q18: &Embedding,
-) -> MeasureValues {
-    let m = world.params.top_m.min(q17.vocab_size());
-    suites[&(algo, seed)].compute_all(&q17.top_rows(m), &q18.top_rows(m))
+/// One empty measure slot per distinct pair configuration, or none when
+/// measures are off.
+fn measure_memo(configs: &[Config], with_measures: bool) -> MeasureMemo {
+    let pairs = configs.iter().map(|&(_, a, d, q, s)| (a, d, q, s));
+    pairs
+        .filter(|_| with_measures)
+        .map(|pair| (pair, OnceLock::new()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -482,6 +490,18 @@ mod tests {
                 .collect::<std::collections::BTreeSet<_>>()
         };
         assert!(keys(&shard0).is_disjoint(&keys(&shard1)));
+    }
+
+    #[test]
+    fn memo_holds_one_slot_per_pair() {
+        let world = tiny_world();
+        let configs = Experiment::new(&world).algos([Algo::Mc]).configs(2);
+        assert_eq!(configs.len(), 8); // 2 tasks x 2 dims x 2 precisions
+        let memo = measure_memo(&configs, true);
+        let pairs: Vec<PairConfig> = configs[..4].iter().map(|c| (c.1, c.2, c.3, c.4)).collect();
+        assert_eq!(memo.keys().copied().collect::<Vec<_>>(), pairs);
+        assert!(memo.values().all(|slot| slot.get().is_none()));
+        assert!(measure_memo(&configs, false).is_empty());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! 2. **Train downstream models and compute metrics** — [`Experiment`]
 //!    sweeps pluggable [`Task`](embedstab_downstream::Task)s over the
 //!    `task x algo x dim x precision x seed` grid, recording prediction
-//!    disagreement, quality, and the five embedding distance measures per
-//!    configuration. Runs shard deterministically across processes
-//!    ([`Experiment::shard`]) and stream rows as they complete
+//!    disagreement, quality, and the five embedding distance measures
+//!    (computed once per embedding pair). Runs shard deterministically
+//!    across processes by pair ([`Experiment::shard`]) and stream rows as
+//!    they complete
 //!    ([`RowSink`], [`JsonlSink`]). The legacy [`run_sentiment_grid`] /
 //!    [`run_ner_grid`] entry points are thin wrappers over the builder.
 //! 3. **Run analyses** — `embedstab-core`'s statistics and selection

@@ -1,8 +1,10 @@
 //! Integration tests for the `Experiment` builder: sharding determinism,
 //! on-disk pair-cache transparency, row streaming, and task pluggability.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use embedstab::core::measures::MeasureKind;
 use embedstab::downstream::{PairSpec, Task, TaskOutcome};
 use embedstab::embeddings::{Algo, Embedding};
 use embedstab::pipeline::{
@@ -34,21 +36,37 @@ fn reference_rows() -> &'static Vec<Row> {
     ROWS.get_or_init(|| experiment().run())
 }
 
-/// A sortable, bitwise-exact key for one row.
-fn key(r: &Row) -> (String, String, usize, u8, u64, u64, u64, u64) {
+/// Two tasks sharing every embedding pair, with measures on.
+fn two_task_experiment() -> Experiment<'static> {
+    Experiment::new(world())
+        .tasks(["sst2", "subj"])
+        .algos([Algo::Mc])
+        .with_measures(true)
+}
+
+/// The unsharded two-task reference rows, computed once.
+fn two_task_rows() -> &'static Vec<Row> {
+    static ROWS: OnceLock<Vec<Row>> = OnceLock::new();
+    ROWS.get_or_init(|| two_task_experiment().run())
+}
+
+/// A sortable, bitwise-exact key for one row, measures included.
+type Key = (String, String, usize, u8, u64, [u64; 3], Option<[u64; 5]>);
+
+fn key(r: &Row) -> Key {
     (
         r.task.clone(),
         r.algo.clone(),
         r.dim,
         r.bits,
         r.seed,
-        r.disagreement.to_bits(),
-        r.quality17.to_bits(),
-        r.quality18.to_bits(),
+        [r.disagreement, r.quality17, r.quality18].map(f64::to_bits),
+        r.measures
+            .map(|m| MeasureKind::ALL.map(|kind| m.get(kind).to_bits())),
     )
 }
 
-fn sorted_keys(rows: &[Row]) -> Vec<(String, String, usize, u8, u64, u64, u64, u64)> {
+fn sorted_keys(rows: &[Row]) -> Vec<Key> {
     let mut keys: Vec<_> = rows.iter().map(key).collect();
     keys.sort();
     keys
@@ -66,6 +84,46 @@ proptest! {
             union.extend(experiment().shard(index, n).run());
         }
         prop_assert_eq!(sorted_keys(&union), sorted_keys(reference_rows()));
+    }
+
+    /// Shards partition embedding pairs: with two tasks and measures on,
+    /// the shard union is bitwise the unsharded run, and each pair's rows
+    /// (both tasks) land in exactly one shard.
+    #[test]
+    fn two_task_shards_partition_pairs(n in 1usize..=4) {
+        let mut union: Vec<Row> = Vec::new();
+        let mut owners: BTreeMap<(String, usize, u8, u64), BTreeSet<usize>> = BTreeMap::new();
+        for index in 0..n {
+            let rows = two_task_experiment().shard(index, n).run();
+            for r in &rows {
+                owners
+                    .entry((r.algo.clone(), r.dim, r.bits, r.seed))
+                    .or_default()
+                    .insert(index);
+            }
+            union.extend(rows);
+        }
+        prop_assert_eq!(sorted_keys(&union), sorted_keys(two_task_rows()));
+        prop_assert_eq!(owners.len(), 8);
+        prop_assert!(owners.values().all(|shards| shards.len() == 1));
+    }
+}
+
+/// Measures depend on the embedding pair alone: in a two-task run each
+/// task's rows carry bitwise the measures of that task's single-task run.
+#[test]
+fn two_task_measures_equal_single_task_measures() {
+    let rows = two_task_rows();
+    assert_eq!(rows.len(), 16);
+    for task in ["sst2", "subj"] {
+        let single = Experiment::new(world())
+            .tasks([task])
+            .algos([Algo::Mc])
+            .with_measures(true)
+            .run();
+        assert!(single.iter().all(|r| r.measures.is_some()));
+        let joint: Vec<Key> = rows.iter().filter(|r| r.task == task).map(key).collect();
+        assert_eq!(joint, single.iter().map(key).collect::<Vec<_>>());
     }
 }
 
