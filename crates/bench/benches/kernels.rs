@@ -157,7 +157,7 @@ fn bench_serve(c: &mut Criterion) {
         .publish(&emb, Precision::new(8), None)
         .expect("publish the bench snapshot");
     let snap = store.live().expect("a live snapshot");
-    let queries = snap.lookup_batch(&[17, 423]);
+    let queries = snap.try_lookup_batch(&[17, 423]).expect("ids in range");
     c.bench_function("snapshot_nearest_1000x32_b2_k5", |bench| {
         bench.iter(|| black_box(snap.try_nearest_batch(black_box(&queries), 5)));
     });

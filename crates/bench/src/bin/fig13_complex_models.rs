@@ -1,7 +1,7 @@
 //! Figure 13 (Appendix E.2): the stability-memory tradeoff survives more
 //! complex downstream models — a CNN for SST-2 and a BiLSTM-CRF for NER.
 
-use embedstab_bench::setup;
+use embedstab_bench::{pairs_from_args, world_from_args};
 use embedstab_core::{disagreement, masked_disagreement};
 use embedstab_downstream::eval::flatten_tags;
 use embedstab_downstream::models::{
@@ -14,8 +14,9 @@ use embedstab_quant::Precision;
 
 fn main() {
     let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
-    let params = &exp.world.params;
+    let world = world_from_args(scale);
+    let grid = pairs_from_args(&world, &[Algo::Cbow, Algo::Mc]);
+    let params = &world.params;
     // The paper trains a representative subset with the CRF on
     // (dims {25,100,800} x precisions {1,4,32}); mirror that subsetting.
     let dims = vec![
@@ -27,7 +28,7 @@ fn main() {
     let seed = params.seeds[0];
 
     println!("\n=== Figure 13a: CNN on SST-2 ===");
-    let ds = exp.world.sentiment_dataset("sst2");
+    let ds = world.sentiment_dataset("sst2");
     let cnn_cfg = CnnConfig::default();
     let spec = TrainSpec {
         lr: 5e-3,
@@ -40,7 +41,7 @@ fn main() {
     for algo in [Algo::Cbow, Algo::Mc] {
         for &dim in &dims {
             for &prec in &precisions {
-                let (q17, q18) = exp.grid.quantized_pair(algo, dim, seed, prec);
+                let (q17, q18) = grid.quantized_pair(algo, dim, seed, prec);
                 let m17 = CnnSentimentModel::train(&q17, &ds.train, &cnn_cfg, &spec);
                 let m18 = CnnSentimentModel::train(&q18, &ds.train, &cnn_cfg, &spec);
                 let di = disagreement(&m17.predict(&q17, &ds.test), &m18.predict(&q18, &ds.test));
@@ -57,7 +58,7 @@ fn main() {
     print_table(&["algo", "dim", "bits", "bits/word", "disagree%"], &table);
 
     println!("\n=== Figure 13b: BiLSTM-CRF on NER ===");
-    let ner = &exp.world.ner;
+    let ner = &world.ner;
     let lstm_cfg = LstmConfig {
         hidden: params.lstm_hidden,
         epochs: params.lstm_epochs,
@@ -69,7 +70,7 @@ fn main() {
     for algo in [Algo::Cbow, Algo::Mc] {
         for &dim in &dims {
             for &prec in &precisions {
-                let (q17, q18) = exp.grid.quantized_pair(algo, dim, seed, prec);
+                let (q17, q18) = grid.quantized_pair(algo, dim, seed, prec);
                 let m17 = BiLstmCrfTagger::train(&q17, &ner.train, &lstm_cfg);
                 let m18 = BiLstmCrfTagger::train(&q18, &ner.train, &lstm_cfg);
                 let p17 = m17.predict_all(&q17, &ner.test);

@@ -3,17 +3,18 @@
 //! sampling seeds between the paired models), and (b) with embeddings
 //! fine-tuned during downstream training.
 
-use embedstab_bench::{aggregate, setup};
+use embedstab_bench::{aggregate, pairs_from_args, world_from_args};
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
 use embedstab_pipeline::{Experiment, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
+    let world = world_from_args(scale);
+    let grid = pairs_from_args(&world, &[Algo::Cbow, Algo::Mc]);
     let base = || {
-        Experiment::new(&exp.world)
-            .grid(&exp.grid)
+        Experiment::new(&world)
+            .grid(&grid)
             .tasks(["sst2"])
             .algos([Algo::Cbow, Algo::Mc])
     };

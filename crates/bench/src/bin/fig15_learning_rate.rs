@@ -2,7 +2,7 @@
 //! downstream model's learning rate, for CBOW and MC on SST-2 and MR at
 //! two dimensions.
 
-use embedstab_bench::{aggregate, setup};
+use embedstab_bench::{aggregate, pairs_from_args, world_from_args};
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
 use embedstab_pipeline::{Experiment, Scale};
@@ -10,8 +10,9 @@ use embedstab_quant::Precision;
 
 fn main() {
     let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
-    let params = &exp.world.params;
+    let world = world_from_args(scale);
+    let grid = pairs_from_args(&world, &[Algo::Cbow, Algo::Mc]);
+    let params = &world.params;
     let dims = vec![
         params.dims[params.dims.len() / 2],
         *params.dims.last().expect("dims"),
@@ -22,8 +23,8 @@ fn main() {
     let mut table = Vec::new();
     for task in ["sst2", "mr"] {
         for &lr in &lrs {
-            let rows = Experiment::new(&exp.world)
-                .grid(&exp.grid)
+            let rows = Experiment::new(&world)
+                .grid(&grid)
                 .tasks([task])
                 .algos([Algo::Cbow, Algo::Mc])
                 .lr_override(lr)

@@ -5,7 +5,7 @@
 //! Validates the identity both on random matrices and on actually trained
 //! embedding pairs.
 
-use embedstab_bench::setup;
+use embedstab_bench::{pairs_from_args, world_from_args};
 use embedstab_core::theory::{eis_dense, monte_carlo_disagreement, SigmaFactor};
 use embedstab_embeddings::Algo;
 use embedstab_linalg::Mat;
@@ -37,11 +37,12 @@ fn main() {
 
     // Trained embeddings from a tiny world: the identity is about the
     // matrices, so it must hold for real (Wiki'17, Wiki'18) pairs too.
-    let exp = setup(Scale::Tiny, &[Algo::Mc]);
-    let dims = exp.world.params.dims.clone();
-    for &dim in &dims {
-        let (x17, x18) = exp.grid.pair(Algo::Mc, dim, 0);
-        let (e17, e18) = exp.grid.pair(Algo::Mc, *dims.last().expect("dims"), 0);
+    let world = world_from_args(Scale::Tiny);
+    let grid = pairs_from_args(&world, &[Algo::Mc]);
+    let dims = &world.params.dims;
+    for &dim in dims {
+        let (x17, x18) = grid.pair(Algo::Mc, dim, 0);
+        let (e17, e18) = grid.pair(Algo::Mc, *dims.last().expect("dims"), 0);
         let sigma = SigmaFactor::from_references(e17.mat(), e18.mat(), 3.0);
         let exact = eis_dense(x17.mat(), x18.mat(), &sigma.dense());
         let mc = monte_carlo_disagreement(x17.mat(), x18.mat(), &sigma, 2000, 9);

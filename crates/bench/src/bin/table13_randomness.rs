@@ -4,7 +4,7 @@
 //! model-initialization seed, only the sampling-order seed, or only the
 //! embedding corpus.
 
-use embedstab_bench::setup;
+use embedstab_bench::{pairs_from_args, world_from_args};
 use embedstab_core::disagreement;
 use embedstab_downstream::models::{BowSentimentModel, TrainSpec};
 use embedstab_embeddings::Algo;
@@ -13,8 +13,9 @@ use embedstab_pipeline::Scale;
 
 fn main() {
     let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
-    let params = &exp.world.params;
+    let world = world_from_args(scale);
+    let grid = pairs_from_args(&world, &[Algo::Cbow, Algo::Mc]);
+    let params = &world.params;
     // The paper uses the 400-dimensional full-precision embeddings; use
     // the second-largest dimension of the sweep.
     let dim = params.dims[params.dims.len().saturating_sub(2)];
@@ -27,11 +28,11 @@ fn main() {
     println!("\n=== Table 13: downstream randomness sources (dim={dim}, b=32) ===");
     let mut table = Vec::new();
     for algo in [Algo::Cbow, Algo::Mc] {
-        for ds in &exp.world.sentiment {
+        for ds in &world.sentiment {
             let mut dis = [0.0f64; 3];
             let mut counts = [0usize; 3];
             for &seed in &params.seeds {
-                let (x17, x18) = exp.grid.pair(algo, dim, seed);
+                let (x17, x18) = grid.pair(algo, dim, seed);
                 let spec = TrainSpec {
                     init_seed: seed,
                     sample_seed: seed,

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use embedstab_bench::{setup, standard_rows};
+use embedstab_bench::{pairs_from_args, standard_rows, world_from_args};
 use embedstab_core::measures::{EisMeasure, KnnMeasure};
 use embedstab_core::stats;
 use embedstab_embeddings::Algo;
@@ -17,7 +17,8 @@ fn main() {
     let scale = Scale::from_args();
     let params = scale.params();
     let rows = standard_rows(scale, &["sst2", "subj", "ner"]);
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
+    let world = world_from_args(scale);
+    let grid = pairs_from_args(&world, &[Algo::Cbow, Algo::Mc]);
     let algos = [Algo::Cbow, Algo::Mc];
     let top_m = params.top_m;
 
@@ -42,7 +43,7 @@ fn main() {
         for &seed in &params.seeds {
             for &dim in &params.dims {
                 for &prec in &params.precisions {
-                    let (q17, q18) = exp.grid.quantized_pair(algo, dim, seed, prec);
+                    let (q17, q18) = grid.quantized_pair(algo, dim, seed, prec);
                     let m = top_m.min(q17.vocab_size());
                     let q17 = q17.top_rows(m);
                     let q18 = q18.top_rows(m);
@@ -57,7 +58,7 @@ fn main() {
     let mut ref_svds: BTreeMap<(Algo, u64), (Svd, Svd, usize)> = BTreeMap::new();
     for &algo in &algos {
         for &seed in &params.seeds {
-            let (e17, e18) = exp.grid.pair(algo, params.max_dim(), seed);
+            let (e17, e18) = grid.pair(algo, params.max_dim(), seed);
             let m = top_m.min(e17.vocab_size());
             ref_svds.insert(
                 (algo, seed),

@@ -12,31 +12,17 @@ use std::path::{Path, PathBuf};
 use embedstab_core::measures::MeasureKind;
 use embedstab_core::selection::ConfigPoint;
 use embedstab_core::stats;
+use embedstab_embeddings::Algo;
 use embedstab_pipeline::{
-    EmbeddingGrid, Experiment, JsonlSink, ProgressSink, Row, RowSink, Scale, World,
+    EmbeddingGrid, Experiment, JsonlSink, PairCache, PairKey, ProgressSink, Row, RowSink, Scale,
+    World,
 };
 
-/// A built experiment context: world plus trained embedding grid.
-pub struct Setup {
-    /// The corpus pair and datasets.
-    pub world: World,
-    /// The trained full-precision embedding pairs.
-    pub grid: EmbeddingGrid,
-}
-
-/// Builds a world and trains the grid for the given algorithms at the
-/// given scale (master seed 0, shared by all binaries so grids agree).
-pub fn setup(scale: Scale, algos: &[embedstab_embeddings::Algo]) -> Setup {
-    let world = world_from_args(scale);
-    let params = &world.params;
-    let grid = EmbeddingGrid::build(&world, algos, &params.dims, &params.seeds);
-    Setup { world, grid }
-}
-
-/// Builds the world for a scale (master seed 0), honoring the
-/// `--world-cache <path>` flag: when present, the world is loaded from
-/// (or built once into) the on-disk world cache — how the `coordinator`'s
-/// shard subprocesses skip the rebuild that used to dominate sharded runs.
+/// Builds the world for a scale (master seed 0, shared by all binaries so
+/// grids agree), honoring the `--world-cache <path>` flag: when present,
+/// the world is loaded from (or built once into) the on-disk world cache —
+/// how fleet shard processes skip the rebuild that used to dominate
+/// sharded runs.
 pub fn world_from_args(scale: Scale) -> World {
     let params = scale.params();
     match world_cache_from_args() {
@@ -44,6 +30,30 @@ pub fn world_from_args(scale: Scale) -> World {
             .unwrap_or_else(|e| panic!("cannot open world cache {}: {e}", dir.display())),
         None => World::build(&params, 0),
     }
+}
+
+/// The full-precision pairs of `algos` over the world's dimensions and
+/// seeds, loaded from (or trained into) the `--cache-dir <path>` pair
+/// cache when the flag is given, so a warm re-run trains nothing.
+///
+/// # Panics
+///
+/// Panics if the cache directory cannot be opened.
+pub fn pairs_from_args(world: &World, algos: &[Algo]) -> EmbeddingGrid {
+    let p = &world.params;
+    let keys: Vec<PairKey> = algos
+        .iter()
+        .flat_map(|&a| {
+            p.dims
+                .iter()
+                .flat_map(move |&d| p.seeds.iter().map(move |&s| (a, d, s)))
+        })
+        .collect();
+    let cache = cache_dir_from_args().map(|dir| {
+        PairCache::open(&dir, world.fingerprint())
+            .unwrap_or_else(|e| panic!("cannot open cache dir {}: {e}", dir.display()))
+    });
+    EmbeddingGrid::build_pairs(world, &keys, cache.as_ref())
 }
 
 /// Parses `--shard i/n` from the process arguments.
@@ -196,32 +206,6 @@ pub fn merge_shard_rows_partial<P: AsRef<Path>>(paths: &[P]) -> std::io::Result<
     rows.sort_by_cached_key(row_merge_key);
     rows.dedup_by(|a, b| row_merge_key(a) == row_merge_key(b));
     Ok(rows)
-}
-
-/// Resolves a shard/worker binary: an explicit path (anything with a
-/// separator) is used as-is; a bare name is looked up next to the current
-/// executable (all the bench binaries live in the same cargo target
-/// directory).
-///
-/// # Panics
-///
-/// Panics with a build-it-first message when a bare name has no sibling —
-/// this is a binary-side helper, not a library-call path.
-pub fn resolve_bin(name: &str) -> PathBuf {
-    let path = Path::new(name);
-    if path.components().count() > 1 {
-        return path.to_path_buf();
-    }
-    let exe = std::env::current_exe().expect("binary knows its own path");
-    let sibling = exe.with_file_name(name);
-    if !sibling.exists() {
-        panic!(
-            "binary {} not found next to {}; build it first or pass a full path",
-            sibling.display(),
-            exe.display()
-        );
-    }
-    sibling
 }
 
 /// Removes leftover shard row files with shard count `n` from

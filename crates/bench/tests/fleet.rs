@@ -1,8 +1,9 @@
 //! End-to-end contract of fleet mode, with the real binaries: a 2-worker
 //! loopback fleet at Tiny scale — **with one worker killed mid-slice by
 //! fault injection** — must produce merged rows bitwise identical to an
-//! unsharded run, and a cold worker must obtain the coordinator's world
-//! cache file bitwise over the wire.
+//! unsharded run, a cold worker must obtain the coordinator's world cache
+//! file bitwise over the wire, and the world must be built exactly once:
+//! every shard process loads it from the cache.
 //!
 //! The choreography is deterministic: worker A starts alone with
 //! `FLEET_FAIL_ONCE` armed, pulls the world, leases slice 0, and dies
@@ -123,6 +124,16 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
     assert!(
         wb_log.contains("slice 0 complete") && wb_log.contains("slice 1 complete"),
         "worker-b must complete both slices (one re-dispatched):\n{wb_log}"
+    );
+    // Each slice's shard process loads the pulled world; none rebuilds it.
+    assert_eq!(
+        wb_log.matches("[world] loaded").count(),
+        2,
+        "both of worker-b's shard processes must load the cached world:\n{wb_log}"
+    );
+    assert!(
+        !wb_log.contains("[world] built"),
+        "a shard process rebuilt the world:\n{wb_log}"
     );
 
     let status = coordinator

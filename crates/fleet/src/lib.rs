@@ -1,11 +1,10 @@
 //! Machine-spanning shard fleets: a TCP coordinator/worker pair that
 //! ships caches by fingerprint and survives worker deaths.
 //!
-//! The single-host `coordinator` binary spawns shard subprocesses on one
-//! box; this crate is the next step out — workers on **other** machines
-//! connect over TCP, pull the coordinator's world (and warm pair-cache
-//! entries) by content-addressed key, lease shard slices from a retrying
-//! work queue, and stream row files back. The contract carried over from
+//! Workers on other machines, or on the same box over loopback, connect
+//! over TCP, pull the coordinator's world (and warm pair-cache entries)
+//! by content-addressed key, lease shard slices from a retrying work
+//! queue, and stream row files back. The contract carried over from
 //! everything else in this workspace: a fleet run's merged rows are
 //! **bitwise identical** to the unsharded run, worker deaths included.
 //!

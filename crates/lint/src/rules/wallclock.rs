@@ -19,7 +19,7 @@
 //! timeouts, so its library code takes time as an *injected* `now_ms`
 //! (the bench binaries supply a monotonic epoch) rather than reading a
 //! clock that could leak into retry schedules or shipped state. Timing
-//! *measurement* (e.g. the coordinator binaries' wall-clock reports, the
+//! *measurement* (e.g. the fleet binaries' wall-clock reports, the
 //! incremental-retrain bench) is fine and stays out of scope.
 
 use crate::rules::{Finding, Rule};

@@ -73,7 +73,7 @@ enum TaskSpec {
 }
 
 /// Fluent builder for one grid run. See the [module docs](self) for the
-/// shape of the API and `run.rs` for the legacy entry points it replaces.
+/// shape of the API.
 pub struct Experiment<'w> {
     world: &'w World,
     grid: Option<&'w EmbeddingGrid>,
@@ -166,13 +166,6 @@ impl<'w> Experiment<'w> {
     /// sentiment only).
     pub fn fine_tune_lr(mut self, lr: f64) -> Self {
         self.opts.fine_tune_lr = Some(lr);
-        self
-    }
-
-    /// Replaces the whole options bag at once (how the legacy
-    /// `run_*_grid` wrappers delegate here).
-    pub fn options(mut self, opts: GridOptions) -> Self {
-        self.opts = opts;
         self
     }
 

@@ -79,7 +79,10 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::pa
 
 /// Appends a serializable value as one JSON line to `path`, creating
 /// parent directories if needed (the streaming counterpart of
-/// [`save_json`], used by [`JsonlSink`](crate::JsonlSink)).
+/// [`save_json`], used by [`JsonlSink`](crate::JsonlSink)). The line and
+/// its terminating newline go out in one `write_all`, so a process killed
+/// between rows never leaves an unterminated line for the next row to
+/// join. The file is not synced.
 ///
 /// # Errors
 ///
@@ -91,14 +94,14 @@ pub fn save_jsonl_append<T: Serialize>(path: &Path, value: &T) -> std::io::Resul
             std::fs::create_dir_all(parent)?;
         }
     }
-    let body = serde_json::to_string(value)
+    let mut line = serde_json::to_string(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    line.push('\n');
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
-    f.write_all(body.as_bytes())?;
-    f.write_all(b"\n")
+    f.write_all(line.as_bytes())
 }
 
 #[cfg(test)]

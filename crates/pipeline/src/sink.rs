@@ -35,11 +35,12 @@ impl<F: FnMut(&Row) + Send> RowSink for F {
 /// Appends each row as one JSON line to a file, creating parent
 /// directories on first write.
 ///
-/// Appending is crash-tolerant by construction: every completed line is
-/// already durable, and a truncated final line is skipped by
-/// [`JsonlSink::load`]. I/O errors are reported to stderr once and
-/// swallowed — a dying disk should not abort an hour-long grid whose rows
-/// are also returned in memory.
+/// Each row is appended as one write of its newline-terminated line, so a
+/// killed run leaves whole lines behind, and a truncated final line is
+/// skipped by [`JsonlSink::load`]. Lines are never synced: a power loss
+/// can drop the most recent rows. I/O errors are reported to stderr once
+/// and swallowed — a dying disk should not abort an hour-long grid whose
+/// rows are also returned in memory.
 pub struct JsonlSink {
     path: PathBuf,
     failed: bool,

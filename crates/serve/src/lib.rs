@@ -21,13 +21,13 @@
 //!   tenant's (dimension, precision) is picked on its memory-budget line
 //!   through the same `core::selection` ranking path the paper's Table 3
 //!   evaluates ([`tenant`]).
-//! - Batched query paths — [`Snapshot::lookup_batch`] copies rows out in
-//!   one call, and [`Snapshot::nearest_batch`] answers a whole batch
-//!   through the exact cosine top-k kernel
+//! - Batched query paths — [`Snapshot::try_lookup_batch`] copies rows out
+//!   in one call, and [`Snapshot::try_nearest_batch`] answers a whole
+//!   batch through the exact cosine top-k kernel
 //!   ([`CosineIndex`](embedstab_linalg::CosineIndex), shared with the k-NN
 //!   measure), whose scores equal `cosine_similarity` bit for bit on any
-//!   CPU. `try_` variants degrade malformed input to a typed
-//!   [`QueryError`] instead of panicking ([`snapshot`], [`error`]).
+//!   CPU. Every query degrades malformed input to a typed [`QueryError`]
+//!   instead of panicking ([`snapshot`], [`error`]).
 //! - The network front-end — a length-prefixed binary protocol
 //!   ([`wire`]) and a threaded TCP server ([`server`]) that coalesces
 //!   concurrently arriving queries per tenant into single batched calls,

@@ -125,40 +125,19 @@ impl Snapshot {
         &self.embedding
     }
 
-    /// The vector for one word id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range. Wire-facing callers use
-    /// [`Snapshot::try_lookup`] instead.
-    pub fn lookup(&self, id: u32) -> &[f64] {
-        self.embedding.vector(id)
-    }
-
-    /// Like [`Snapshot::lookup`], but an out-of-range id is a typed
-    /// [`QueryError`] instead of a panic — the form the wire front-end
-    /// must use, since the id arrives in client-controlled bytes.
+    /// The vector for one word id. An out-of-range id is a typed
+    /// [`QueryError`] instead of a panic, since on the wire the id arrives
+    /// in client-controlled bytes.
     pub fn try_lookup(&self, id: u32) -> Result<&[f64], QueryError> {
         self.check_id(id)?;
         Ok(self.embedding.vector(id))
     }
 
     /// The vectors for a batch of word ids, as one `ids.len() x dim`
-    /// matrix. Row `i` is bitwise identical to `lookup(ids[i])` (the
+    /// matrix. Row `i` is bitwise identical to `try_lookup(ids[i])` (the
     /// `serve_integration` test pins this), so batching is purely a
-    /// throughput optimization for downstream consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is out of range. Wire-facing callers use
-    /// [`Snapshot::try_lookup_batch`] instead.
-    pub fn lookup_batch(&self, ids: &[u32]) -> Mat {
-        let rows: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
-        self.embedding.mat().select_rows(&rows)
-    }
-
-    /// Like [`Snapshot::lookup_batch`], but malformed input degrades to a
-    /// typed [`QueryError`]: an out-of-range id (reported with the first
+    /// throughput optimization. Malformed input degrades to a typed
+    /// [`QueryError`]: an out-of-range id (reported with the first
     /// offender) or an empty batch. This is the entry point the TCP
     /// front-end's coalesced batches go through.
     pub fn try_lookup_batch(&self, ids: &[u32]) -> Result<Mat, QueryError> {
@@ -168,7 +147,8 @@ impl Snapshot {
         for &id in ids {
             self.check_id(id)?;
         }
-        Ok(self.lookup_batch(ids))
+        let rows: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
+        Ok(self.embedding.mat().select_rows(&rows))
     }
 
     fn check_id(&self, id: u32) -> Result<(), QueryError> {
@@ -195,31 +175,19 @@ impl Snapshot {
     /// ranks below every real neighbor, so answers are deterministic. `k`
     /// is capped at the vocabulary size.
     ///
-    /// A batch whose dimension differs from the snapshot's gets empty
-    /// neighbor lists; wire-facing callers use
-    /// [`Snapshot::try_nearest_batch`], which reports it as a typed error.
-    pub fn nearest_batch(&self, queries: &Mat, k: usize) -> Vec<Vec<(u32, f64)>> {
-        self.index
-            .get_or_init(|| CosineIndex::new(self.embedding.mat()))
-            .top_k(queries, k, None)
-            .unwrap_or_else(|| vec![Vec::new(); queries.rows()])
-    }
-
-    /// Like [`Snapshot::nearest_batch`], but malformed input degrades to
-    /// a typed [`QueryError`]: a query-dimension mismatch, an empty query
-    /// batch, or `k = 0`. The happy path is byte-for-byte the other
-    /// variant's (the same cosine top-k kernel), so batching through this
-    /// entry point changes no answers.
+    /// Malformed input degrades to a typed [`QueryError`]: a
+    /// query-dimension mismatch, an empty query batch, or `k = 0`.
     pub fn try_nearest_batch(
         &self,
         queries: &Mat,
         k: usize,
     ) -> Result<Vec<Vec<(u32, f64)>>, QueryError> {
+        let dim_mismatch = QueryError::DimMismatch {
+            got: queries.cols(),
+            expected: self.meta.dim,
+        };
         if queries.cols() != self.meta.dim {
-            return Err(QueryError::DimMismatch {
-                got: queries.cols(),
-                expected: self.meta.dim,
-            });
+            return Err(dim_mismatch);
         }
         if queries.rows() == 0 {
             return Err(QueryError::EmptyBatch);
@@ -227,7 +195,10 @@ impl Snapshot {
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
-        Ok(self.nearest_batch(queries, k))
+        self.index
+            .get_or_init(|| CosineIndex::new(self.embedding.mat()))
+            .top_k(queries, k, None)
+            .ok_or(dim_mismatch)
     }
 
     fn encode(&self) -> io::Result<Vec<u8>> {
@@ -724,10 +695,8 @@ mod tests {
                 expected: 4
             }
         );
-        // The panic-free variant answers a mismatched batch with nothing.
-        assert_eq!(snap.nearest_batch(&wrong_dim, 3), vec![Vec::new(); 2]);
         // k = 0 and empty batches.
-        let ok_queries = snap.lookup_batch(&[1, 2]);
+        let ok_queries = snap.try_lookup_batch(&[1, 2]).expect("in range");
         assert_eq!(
             snap.try_nearest_batch(&ok_queries, 0).expect_err("k = 0"),
             QueryError::ZeroK
@@ -741,26 +710,16 @@ mod tests {
             snap.try_lookup_batch(&[]).expect_err("no ids"),
             QueryError::EmptyBatch
         );
-        // And the happy paths agree bitwise with the panicking variants.
-        assert_eq!(snap.try_lookup(5).expect("in range"), snap.lookup(5));
-        assert_eq!(
-            snap.try_lookup_batch(&[1, 2]).expect("in range"),
-            snap.lookup_batch(&[1, 2])
-        );
-        assert_eq!(
-            snap.try_nearest_batch(&ok_queries, 3).expect("well-formed"),
-            snap.nearest_batch(&ok_queries, 3)
-        );
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// The ranking `nearest_batch` promises, by brute force: every word's
+    /// The ranking `try_nearest_batch` promises, by brute force: every word's
     /// `cosine_similarity`, fully sorted by descending score (NaN last),
     /// ties toward the lower id.
     fn naive_nearest(snap: &Snapshot, q: &[f64], k: usize) -> Vec<(u32, u64)> {
         let vocab = snap.meta().vocab_size as u32;
         let mut all: Vec<(u32, f64)> = (0..vocab)
-            .map(|w| (w, vecops::cosine_similarity(q, snap.lookup(w))))
+            .map(|w| (w, vecops::cosine_similarity(q, snap.embedding().vector(w))))
             .collect();
         all.sort_by(|a, b| cmp_desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
         all.iter().take(k).map(|&(w, s)| (w, s.to_bits())).collect()
@@ -777,12 +736,14 @@ mod tests {
         let dup = m.row(3).to_vec();
         m.row_mut(12).copy_from_slice(&dup);
         let snap = Snapshot::quantized(Version(1), &Embedding::new(m), Precision::FULL, None);
-        let mut queries = snap.lookup_batch(&[3, 17, 7, 11, 12, 0, 29]);
+        let mut queries = snap
+            .try_lookup_batch(&[3, 17, 7, 11, 12, 0, 29])
+            .expect("in range");
         queries
             .row_mut(5)
             .copy_from_slice(&[0.5, -1.0, 2.0, 0.0, 1e-3, 3.0, -0.25, 0.0, 7.5]);
         for k in [1, 4, 29, 30, 31, 100] {
-            let results = snap.nearest_batch(&queries, k);
+            let results = snap.try_nearest_batch(&queries, k).expect("well-formed");
             assert_eq!(results.len(), queries.rows());
             for (qi, got) in results.iter().enumerate() {
                 let got: Vec<(u32, u64)> = got.iter().map(|&(w, s)| (w, s.to_bits())).collect();

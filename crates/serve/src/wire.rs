@@ -29,11 +29,11 @@
 //! ```
 //!
 //! `f64`s travel as raw bit patterns (like the pair cache), so a looked-up
-//! vector arrives bitwise identical to [`Snapshot::lookup`] on the server
+//! vector arrives bitwise identical to [`Snapshot::try_lookup`] on the server
 //! — the serving layer's bitwise-reproducibility guarantee extends across
 //! the wire.
 //!
-//! [`Snapshot::lookup`]: crate::Snapshot::lookup
+//! [`Snapshot::try_lookup`]: crate::Snapshot::try_lookup
 
 use std::io::{self, Read, Write};
 

@@ -142,7 +142,10 @@ fn main() {
         .live()
         .expect("live snapshot");
     let query_ids = [0u32, 1, 2, 3];
-    let neighbors = live.nearest_batch(&live.lookup_batch(&query_ids), 2);
+    let queries = live.try_lookup_batch(&query_ids).expect("ids in range");
+    let neighbors = live
+        .try_nearest_batch(&queries, 2)
+        .expect("well-formed batch");
     let shown: Vec<String> = query_ids
         .iter()
         .zip(&neighbors)

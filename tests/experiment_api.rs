@@ -7,9 +7,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use embedstab::core::measures::MeasureKind;
 use embedstab::downstream::{PairSpec, Task, TaskOutcome};
 use embedstab::embeddings::{Algo, Embedding};
-use embedstab::pipeline::{
-    run_sentiment_grid, Experiment, GridOptions, JsonlSink, Row, Scale, World,
-};
+use embedstab::pipeline::{Experiment, JsonlSink, Row, Scale, World};
 use embedstab::quant::Precision;
 use proptest::prelude::*;
 
@@ -155,23 +153,17 @@ fn sharded_runs_share_a_cache() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The legacy entry points are wrappers over the builder: same rows, same
-/// order.
+/// A run through a pre-built grid (how callers share one set of trained
+/// pairs across several experiments) equals a run that trains its own
+/// pairs: same rows, same order.
 #[test]
-fn legacy_wrappers_match_builder() {
+fn prebuilt_grid_matches_trained_pairs() {
     let w = world();
     let grid =
         embedstab::pipeline::EmbeddingGrid::build(w, &[Algo::Mc], &w.params.dims, &w.params.seeds);
-    let legacy = run_sentiment_grid(
-        w,
-        &grid,
-        "sst2",
-        &GridOptions {
-            algos: vec![Algo::Mc],
-            ..Default::default()
-        },
-    );
-    assert_eq!(sorted_keys(&legacy), sorted_keys(reference_rows()));
+    let prebuilt = experiment().grid(&grid).run();
+    let in_order = |rows: &[Row]| rows.iter().map(key).collect::<Vec<_>>();
+    assert_eq!(in_order(&prebuilt), in_order(reference_rows()));
 }
 
 /// Sinks observe every row exactly once; JSONL rows round-trip through
